@@ -716,6 +716,55 @@ impl OpenOb {
     }
 }
 
+/// One condition's watermarks over its open obligations: the exact
+/// backend's twin of the integer backend's `min_earliest`/`min_deadline`.
+/// Under Definition 3.1 an open obligation only changes state on a `Π`
+/// event, a disabling post-state, or time passing its bound, so an event
+/// that is neither in `Π` nor disabling and arrives before both minima
+/// resolves nothing and skips the scan.
+///
+/// Derived state, never serialized. Known marks are exact: obligations
+/// only leave the store in a full resolve scan, which recomputes the
+/// marks from the obligations it keeps, and
+/// [`open_trigger`](EngineState::open_trigger) lowers them. Every other
+/// path that builds or rewrites the store (construction, remap,
+/// deserialization, the int→exact spill, finish) leaves them unknown, so
+/// the condition's next event scans.
+#[derive(Clone, Copy, Debug)]
+struct Marks {
+    /// Whether the two minima below are exact.
+    known: bool,
+    /// Minimum `earliest` over open lower windows (`None`: none open).
+    earliest: Option<Rat>,
+    /// Minimum `deadline` over open upper obligations (`None`: none open).
+    deadline: Option<Rat>,
+}
+
+impl Marks {
+    /// Marks that force the next event to scan.
+    const UNKNOWN: Marks = Marks {
+        known: false,
+        earliest: None,
+        deadline: None,
+    };
+
+    /// Whether an event at `time` that is neither in `Π` nor disabling
+    /// provably leaves every open obligation open: before every window's
+    /// `earliest` and at or before every deadline.
+    #[inline]
+    fn quiescent(&self, time: Rat) -> bool {
+        self.known
+            && self.earliest.is_none_or(|e| time < e)
+            && self.deadline.is_none_or(|d| time <= d)
+    }
+}
+
+/// Folds `v` into a running minimum.
+#[inline]
+fn fold_min(min: &mut Option<Rat>, v: Rat) {
+    *min = Some(min.map_or(v, |m| m.min(v)));
+}
+
 /// The engine's whole mutable state: the open obligations per condition
 /// plus the stream position. Deliberately independent of the monitored
 /// state and action types, so it can be snapshotted, restored, and
@@ -754,6 +803,9 @@ pub struct EngineState {
     /// after an unwarned deadline is discharged (the sweep recomputes
     /// it exactly), never stale high.
     warn_watermark: Option<Rat>,
+    /// Per-condition resolve watermarks (see [`Marks`]), next to
+    /// `active`: a quiescent event skips the condition's scan.
+    marks: Vec<Marks>,
 }
 
 impl Default for EngineState {
@@ -777,6 +829,7 @@ impl EngineState {
             log_lifecycle: true,
             horizon: None,
             warn_watermark: None,
+            marks: vec![Marks::UNKNOWN; conditions],
         }
     }
 
@@ -821,16 +874,28 @@ impl EngineState {
 
     /// The earliest open deadline, if any deadline is open:
     /// `min_deadline − last_time` is the stream's minimum upper-bound
-    /// slack, the `Lt` reading the monitor's metrics track.
+    /// slack, the `Lt` reading the monitor's metrics track. Reads each
+    /// active condition's deadline watermark; only conditions whose
+    /// watermark is unknown (nothing stepped since a snapshot, reload,
+    /// or spill) scan their obligations.
     pub fn min_deadline(&self) -> Option<Rat> {
         let mut min: Option<Rat> = None;
-        for obs in &self.open {
-            for o in obs {
-                if let ObligationKind::Upper { deadline } = o.ob.kind {
-                    min = Some(match min {
-                        Some(m) if m <= deadline => m,
-                        _ => deadline,
-                    });
+        for w in 0..self.active.len() {
+            let mut act = self.active[w];
+            while act != 0 {
+                let ci = w * 64 + act.trailing_zeros() as usize;
+                act &= act - 1;
+                let marks = &self.marks[ci];
+                if marks.known {
+                    if let Some(d) = marks.deadline {
+                        fold_min(&mut min, d);
+                    }
+                    continue;
+                }
+                for o in &self.open[ci] {
+                    if let ObligationKind::Upper { deadline } = o.ob.kind {
+                        fold_min(&mut min, deadline);
+                    }
                 }
             }
         }
@@ -857,7 +922,7 @@ impl EngineState {
     /// warning points and warned flags — warning points were fixed when
     /// each trigger fired, so a reload never re-warns or un-warns
     /// carried obligations) carry over; the event-log buffer starts
-    /// empty.
+    /// empty, and the resolve watermarks start unknown.
     pub fn remap(
         &self,
         map: &[Option<usize>],
@@ -882,10 +947,7 @@ impl EngineState {
                         next.open[ni].push(o);
                         bit_set(&mut next.active, ni);
                         if !o.warned {
-                            next.warn_watermark = Some(match next.warn_watermark {
-                                Some(w) if w <= o.warn_at => w,
-                                _ => o.warn_at,
-                            });
+                            fold_min(&mut next.warn_watermark, o.warn_at);
                         }
                     }
                 }
@@ -919,6 +981,7 @@ impl EngineState {
             };
             self.open[ci].push(OpenOb::plain(ob));
             bit_set(&mut self.active, ci);
+            fold_min(&mut self.marks[ci].earliest, earliest);
             if self.log_lifecycle {
                 self.events.push(EngineEvent::Opened {
                     ci,
@@ -952,10 +1015,7 @@ impl EngineState {
             let entry = match self.horizon {
                 Some(h) => {
                     let warn_at = if h < b_u { deadline - h } else { t_i };
-                    self.warn_watermark = Some(match self.warn_watermark {
-                        Some(w) if w <= warn_at => w,
-                        _ => warn_at,
-                    });
+                    fold_min(&mut self.warn_watermark, warn_at);
                     OpenOb {
                         ob,
                         warn_at,
@@ -966,6 +1026,7 @@ impl EngineState {
             };
             self.open[ci].push(entry);
             bit_set(&mut self.active, ci);
+            fold_min(&mut self.marks[ci].deadline, deadline);
             if self.log_lifecycle {
                 self.events.push(EngineEvent::Opened {
                     ci,
@@ -1007,10 +1068,7 @@ impl EngineState {
                             });
                         }
                     } else {
-                        next = Some(match next {
-                            Some(n) if n <= o.warn_at => n,
-                            _ => o.warn_at,
-                        });
+                        fold_min(&mut next, o.warn_at);
                     }
                 }
             }
@@ -1140,7 +1198,8 @@ impl EngineImpl {
     /// The earliest open deadline, if any deadline is open:
     /// `min_deadline − last_time` is the stream's minimum upper-bound
     /// slack. O(1) on the integer backend (its deadline watermark is
-    /// exact), a scan of the open store on the exact backend.
+    /// exact); on the exact backend one watermark read per active
+    /// condition (see [`EngineState::min_deadline`]).
     pub fn min_deadline(&self) -> Option<Rat> {
         match self {
             EngineImpl::Exact(st) => st.min_deadline(),
@@ -1375,6 +1434,11 @@ pub(crate) fn step_specs_sparse<'a, C: Classify>(
 
 /// Resolves condition `ci`'s open obligations against one classified
 /// event: the shared body of both [`step_specs`] loop strategies.
+///
+/// An event that is neither in `Π` nor disabling and arrives before the
+/// condition's watermarks would leave every obligation open, so it
+/// returns before the scan; a scan recomputes the watermarks exactly
+/// from the obligations it keeps.
 #[inline]
 fn resolve_open<C: Classify>(
     spec: &CondSpec,
@@ -1386,15 +1450,29 @@ fn resolve_open<C: Classify>(
 ) {
     let in_pi = cls.pi(ci);
     let in_disabling = cls.disabling(ci);
+    if !in_pi && !in_disabling && st.marks[ci].quiescent(time) {
+        return;
+    }
     let mark = st.events.len();
     let open = &mut st.open[ci];
+    let mut marks = Marks {
+        known: true,
+        earliest: None,
+        deadline: None,
+    };
     let mut k = 0;
     while k < open.len() {
         match open[k]
             .ob
             .resolve_in(time, in_pi, in_disabling, spec.lower_escape)
         {
-            Resolution::Open => k += 1,
+            Resolution::Open => {
+                match open[k].ob.kind {
+                    ObligationKind::Lower { earliest } => fold_min(&mut marks.earliest, earliest),
+                    ObligationKind::Upper { deadline } => fold_min(&mut marks.deadline, deadline),
+                }
+                k += 1;
+            }
             Resolution::Discharged => {
                 let ob = open.swap_remove(k).ob;
                 if st.log_lifecycle {
@@ -1419,6 +1497,7 @@ fn resolve_open<C: Classify>(
             }
         }
     }
+    st.marks[ci] = marks;
     // The scan visits obligations in storage order, which is an
     // artifact of earlier `swap_remove` compactions. Canonicalize this
     // event's emissions to (trigger index, lower before upper) so both
@@ -1461,6 +1540,7 @@ pub(crate) fn finish_specs<'a>(
     st.events.clear();
     st.active.fill(0);
     st.warn_watermark = None;
+    st.marks.fill(Marks::UNKNOWN);
     for ci in 0..st.open.len() {
         let mut open = std::mem::take(&mut st.open[ci]);
         // Same canonical order as the per-event resolve phase (and as
@@ -1687,10 +1767,7 @@ impl<S, A> CompiledConditionSet<S, A> {
                         o.warn_at = (deadline - h).max(t_i);
                         o.warned = last > o.warn_at;
                         if !o.warned {
-                            next = Some(match next {
-                                Some(n) if n <= o.warn_at => n,
-                                _ => o.warn_at,
-                            });
+                            fold_min(&mut next, o.warn_at);
                         }
                     }
                     _ => {
@@ -2134,6 +2211,7 @@ mod serde_impls {
                     active[ci / 64] |= 1u64 << (ci % 64);
                 }
             }
+            let marks = vec![super::Marks::UNKNOWN; open.len()];
             let open = open
                 .into_iter()
                 .map(|obs| obs.into_iter().map(super::OpenOb::plain).collect())
@@ -2147,6 +2225,7 @@ mod serde_impls {
                 log_lifecycle: true,
                 horizon: None,
                 warn_watermark: None,
+                marks,
             })
         }
     }
@@ -2650,6 +2729,71 @@ mod tests {
             set.step_engine(&mut st, &0, &"grant", &1, Rat::from(6));
             assert_eq!(st.min_deadline(), None, "grant serves both deadlines");
         }
+    }
+
+    #[test]
+    fn watermarks_never_hide_a_window_opened_after_a_time_discharge() {
+        // The stale-high hazard: passing time discharges condition 0's
+        // only window, so its rescan leaves no window watermark. A later
+        // trigger opens a window bounded before anything the old marks
+        // knew of; the event reaching that bound must still see it.
+        for choice in [BackendChoice::Auto, BackendChoice::Exact] {
+            let set = CompiledConditionSet::new(&[req_grant(1, 10)]);
+            let mut st = set.start_engine_with(&0, choice);
+            let mut step = |a: &'static str, t: i64| {
+                set.step_engine(&mut st, &0, &a, &0, Rat::from(t)).to_vec()
+            };
+            step("req", 1); // j=1: window@2, deadline@11
+            assert_eq!(
+                step("idle", 2),
+                [EngineEvent::Discharged {
+                    ci: 0,
+                    obligation: lower(1, 2)
+                }]
+            );
+            step("req", 3); // j=3: window@4, deadline@13
+            assert_eq!(
+                step("idle", 4),
+                [EngineEvent::Discharged {
+                    ci: 0,
+                    obligation: lower(3, 4)
+                }],
+                "backend {choice:?}"
+            );
+            assert_eq!(
+                step("idle", 12),
+                [EngineEvent::Violated {
+                    ci: 0,
+                    kind: ViolationKind::UpperBound {
+                        trigger_index: 1,
+                        deadline: Rat::from(11)
+                    }
+                }],
+                "backend {choice:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn quiescent_events_skip_the_scan_but_keep_min_deadline() {
+        let set = CompiledConditionSet::new(&[req_grant(1, 10)]);
+        let mut st = set.start(&0);
+        set.step_event(&mut st, &0, &"req", &0, Rat::from(1));
+        set.step_event(&mut st, &0, &"req", &0, Rat::from(1));
+        // The first event after the triggers scans and learns the marks.
+        assert!(set
+            .step_event(&mut st, &0, &"idle", &0, Rat::from(1))
+            .is_empty());
+        assert!(st.marks[0].known);
+        assert_eq!(st.marks[0].earliest, Some(Rat::from(2)));
+        assert_eq!(st.min_deadline(), Some(Rat::from(11)));
+        // A snapshot round trip (here: a remap) forgets them; the scan
+        // fallback still answers exactly.
+        let (mut st, _) = st.remap(&[Some(0)], 1);
+        assert!(!st.marks[0].known);
+        assert_eq!(st.min_deadline(), Some(Rat::from(11)));
+        set.step_event(&mut st, &0, &"idle", &0, Rat::from(1));
+        assert!(st.marks[0].known);
     }
 
     #[test]

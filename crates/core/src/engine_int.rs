@@ -319,7 +319,9 @@ impl IntEngineState {
     /// become the `Rat`s they represent exactly. This is the spill path
     /// (an unrepresentable event time mid-stream), the snapshot path
     /// (serialization is backend-agnostic), and the hot-reload path
-    /// (remapping happens in the exact domain).
+    /// (remapping happens in the exact domain). The exact state's
+    /// resolve watermarks start unknown, so its first event per
+    /// condition scans and rebuilds them.
     pub(crate) fn to_exact(&self) -> EngineState {
         let n = self.conditions();
         let mut st = EngineState::new(n);

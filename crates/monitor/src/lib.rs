@@ -84,7 +84,10 @@ mod serde_impls;
 mod verdict;
 
 pub use event::Event;
-pub use metrics::{MetricsSnapshot, MonitorMetrics, StreamLag, StreamLagSnapshot, SLACK_BUCKETS};
+pub use metrics::{
+    MetricsSnapshot, MonitorMetrics, StreamLag, StreamLagSnapshot, SLACK_BUCKETS,
+    STREAM_PRUNE_FLOOR,
+};
 pub use monitor::{Monitor, SwapReport};
 // The obligation types moved into the shared condition engine
 // (`tempo_core::engine`) — re-exported here so downstream code keeps

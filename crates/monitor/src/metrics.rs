@@ -14,6 +14,11 @@
 //! either amortized by batching or per-stream to begin with. The public
 //! snapshot API is unchanged by the sharding.
 //!
+//! The per-stream lag list is bounded: once it holds
+//! [`STREAM_PRUNE_FLOOR`] entries, registering a stream prunes finished
+//! ones (see [`MonitorMetrics::register_stream`]), so a finished stream
+//! may leave [`MetricsSnapshot::streams`] while live ones stay listed.
+//!
 //! [`snapshot`]: MonitorMetrics::snapshot
 
 use std::fmt;
@@ -68,6 +73,27 @@ fn margin_bucket(margin: Rat, horizon: Rat) -> usize {
         bound *= Rat::from(2);
     }
     SLACK_BUCKETS - 1
+}
+
+/// Size below which the per-stream lag list is never pruned: a pool that
+/// has opened fewer streams lists every one of them, finished or not.
+pub const STREAM_PRUNE_FLOOR: usize = 1024;
+
+/// The registered streams' lag counters, in registration order, and the
+/// list length at which [`MonitorMetrics::register_stream`] next prunes.
+#[derive(Debug)]
+struct StreamList {
+    entries: Vec<(u64, Arc<StreamLag>)>,
+    prune_at: usize,
+}
+
+impl Default for StreamList {
+    fn default() -> StreamList {
+        StreamList {
+            entries: Vec::new(),
+            prune_at: STREAM_PRUNE_FLOOR,
+        }
+    }
 }
 
 /// Lag accounting for one stream: events enqueued by the producer vs
@@ -249,7 +275,7 @@ pub struct MonitorMetrics {
     batches: AtomicU64,
     batched_events: AtomicU64,
     max_batch: AtomicU64,
-    streams: Mutex<Vec<(u64, Arc<StreamLag>)>>,
+    streams: Mutex<StreamList>,
     shards: Mutex<Vec<Arc<MetricsShard>>>,
 }
 
@@ -331,12 +357,22 @@ impl MonitorMetrics {
     }
 
     /// Registers a stream for per-stream lag reporting.
+    ///
+    /// Once the list has grown to twice its size after the last prune
+    /// (and to at least [`STREAM_PRUNE_FLOOR`]), this first drops the
+    /// finished streams: those whose counters only the list still holds,
+    /// the producer's handle and the worker's connection both gone.
+    /// Pruning is amortized O(1) per registration and keeps the list
+    /// within `max(2 × live, STREAM_PRUNE_FLOOR)` entries, where `live`
+    /// counts the streams open at the last prune.
     pub fn register_stream(&self, id: u64) -> Arc<StreamLag> {
         let lag = Arc::new(StreamLag::default());
-        self.streams
-            .lock()
-            .expect("metrics mutex poisoned")
-            .push((id, Arc::clone(&lag)));
+        let mut list = self.streams.lock().expect("metrics mutex poisoned");
+        if list.entries.len() >= list.prune_at {
+            list.entries.retain(|(_, l)| Arc::strong_count(l) > 1);
+            list.prune_at = (2 * list.entries.len()).max(STREAM_PRUNE_FLOOR);
+        }
+        list.entries.push((id, Arc::clone(&lag)));
         lag
     }
 
@@ -370,9 +406,9 @@ impl MonitorMetrics {
         out.streams.clear();
         {
             let streams = self.streams.lock().expect("metrics mutex poisoned");
-            out.streams.reserve(streams.len());
+            out.streams.reserve(streams.entries.len());
             out.streams
-                .extend(streams.iter().map(|(id, lag)| StreamLagSnapshot {
+                .extend(streams.entries.iter().map(|(id, lag)| StreamLagSnapshot {
                     stream: *id,
                     enqueued: lag.enqueued(),
                     lag: lag.lag(),
@@ -478,7 +514,9 @@ pub struct MetricsSnapshot {
     pub batched_events: u64,
     /// Largest single batch.
     pub max_batch: u64,
-    /// Per-stream lag, in registration order.
+    /// Per-stream lag, in registration order: every live stream, and
+    /// finished streams until a prune drops them (see
+    /// [`MonitorMetrics::register_stream`]).
     pub streams: Vec<StreamLagSnapshot>,
 }
 
@@ -614,6 +652,21 @@ mod tests {
                 lag: 1
             }]
         );
+    }
+
+    #[test]
+    fn finished_streams_are_pruned_and_live_ones_stay_listed() {
+        let m = MonitorMetrics::new();
+        let live: Vec<Arc<StreamLag>> = (0..3).map(|id| m.register_stream(id)).collect();
+        for id in 3..10 * STREAM_PRUNE_FLOOR as u64 {
+            drop(m.register_stream(id)); // finished at once
+            if id % 64 == 0 {
+                assert!(m.snapshot().streams.len() <= STREAM_PRUNE_FLOOR);
+            }
+        }
+        let ids: Vec<u64> = m.snapshot().streams.iter().map(|s| s.stream).collect();
+        assert_eq!(ids[..3], [0, 1, 2], "live streams stay listed, in order");
+        drop(live);
     }
 
     #[test]
