@@ -12,6 +12,14 @@
 //! every producer here runs on its own thread, so the benchmark
 //! exercises the concurrent spin-then-park paths of the SPSC rings
 //! rather than a polite round-robin.
+//!
+//! The `e13_idle_streams` group measures what idle streams cost the
+//! worker: a 1-worker pool holds N ∈ {0, 1k, 10k, 100k} adopted streams
+//! that never publish, and each iteration `send_batch`es 400k events on
+//! one more stream and waits for its report. Pool construction and the
+//! idle streams stay outside the timed region, so per-iteration time ÷
+//! 400k is the worker's ns/event in the presence of N idle streams. The
+//! 100k case is skipped under `--test`.
 
 use std::thread;
 
@@ -109,5 +117,63 @@ fn bench_ingest_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ingest_send, bench_ingest_batch);
+/// Events per `e13_idle_streams` iteration, all on one stream.
+const HOT_EVENTS: usize = 400_000;
+
+/// One `send_batch`ed stream of [`HOT_EVENTS`] events next to `idle`
+/// adopted idle streams, 1 worker; only the hot stream is timed.
+fn bench_idle_streams(c: &mut Criterion) {
+    let test_mode = std::env::args().any(|a| a == "--test");
+    let mut group = c.benchmark_group("e13_idle_streams");
+    group.sample_size(10);
+    let conds = [pulse_condition()];
+    let seq = pulse_stream(HOT_EVENTS);
+    let events: Vec<(&'static str, Rat, u32)> = seq
+        .step_triples()
+        .map(|(_, a, t, post)| (*a, t, *post))
+        .collect();
+    for idle in [0usize, 1_000, 10_000, 100_000] {
+        if test_mode && idle > 10_000 {
+            continue;
+        }
+        let mut pool = MonitorPool::new(
+            &conds,
+            PoolConfig {
+                workers: 1,
+                // Small rings keep 100k idle streams' memory modest.
+                queue_capacity: 2,
+                ..PoolConfig::default()
+            },
+        );
+        let idle_handles: Vec<_> = (0..idle).map(|_| pool.open_stream(0u32)).collect();
+        let id = BenchmarkId::from_parameter(format!("idle{idle}_events{HOT_EVENTS}"));
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let mut h = pool.open_stream(*seq.first_state());
+                for chunk in events.chunks(BATCH) {
+                    h.send_batch(chunk.iter().copied())
+                        .expect("block policy never fails");
+                }
+                h.finish();
+                let report = loop {
+                    if let Some(r) = pool.drain_finished().pop() {
+                        break r;
+                    }
+                    thread::yield_now();
+                };
+                assert_eq!(report.events, HOT_EVENTS);
+            })
+        });
+        drop(idle_handles);
+        assert_eq!(pool.shutdown().streams.len(), idle);
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_ingest_send,
+    bench_ingest_batch,
+    bench_idle_streams
+);
 criterion_main!(benches);

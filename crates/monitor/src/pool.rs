@@ -16,23 +16,53 @@
 //! the ring with the worker through a small injector list, finishing it
 //! flips a per-stream atomic flag. Publish and drain are batched (one
 //! release store per [`send_batch`](StreamHandle::send_batch), one
-//! claim per worker drain of up to [`PoolConfig::drain_batch`] events),
-//! and both sides block by spin-then-park
-//! ([`std::thread::park`]/[`unpark`](std::thread::Thread::unpark))
-//! instead of condvars: an idle worker spins briefly, advertises itself
-//! sleeping, re-checks its rings under a `SeqCst` fence, and parks;
-//! every producer wake goes through the mirror-image fence, so wakeups
-//! cannot be lost. A producer blocked on a full ring parks the same way
-//! inside [`crate::ring`], woken by the worker's draining pop.
+//! claim per worker drain of up to [`PoolConfig::drain_batch`] events).
+//!
+//! # The ready list
+//!
+//! A stream's verdicts can change only when it has an event or
+//! finishes, so a worker visits only such streams: its work grows with
+//! events, not with live streams. Each worker keeps its adopted streams
+//! in a slab and a FIFO of *ready* slots, fed by a shared ready list.
+//! Each stream's control block carries a `queued` flag, `true` while the
+//! stream is on a ready list or in the worker's hands:
+//!
+//! * A producer that published at least one event, or set `finished`,
+//!   fences and reads `queued`. Only when it reads `false` does it swap
+//!   the flag to `true`, and only the swap that finds it `false` pushes
+//!   the stream's slot onto the shared list and wakes the worker: one
+//!   push per idle → busy transition, not one per event.
+//! * The flag starts `true`: adoption queues every new stream, which
+//!   covers events published before adoption, so a producer never
+//!   pushes a slot the worker has not assigned yet.
+//! * The worker takes the shared list (one flag swap and one lock, only
+//!   when the flag is raised) and visits its FIFO once per round: one
+//!   batched drain per stream, so no stream starves another. A ring
+//!   that is still non-empty goes back to the tail; a finished stream
+//!   is drained to empty and filed.
+//! * A ring left empty is released: the worker clears `queued`, fences
+//!   (`SeqCst`) and re-checks the ring and `finished`. Against the
+//!   producer's fence-then-read, either the re-check sees the new work
+//!   (and the worker re-queues the stream if it wins the flag back) or
+//!   the producer reads the cleared flag and queues the stream.
+//!
+//! Only hot reload and shutdown still sweep every live stream. Idle, a
+//! worker spins briefly, advertises itself sleeping, re-checks under a
+//! `SeqCst` fence that nothing is ready, and parks
+//! ([`std::thread::park`]); every producer wake goes through the
+//! mirror-image fence, so wakeups cannot be lost. A producer blocked on
+//! a full ring parks the same way inside [`crate::ring`], woken by the
+//! worker's draining pop.
 //!
 //! All workers report into one [`MonitorMetrics`]; the hot per-event
 //! counters are sharded per worker and merged at snapshot time, so a
 //! snapshot still sees the whole pool: total events, obligation churn,
 //! the deepest queue observed, and per-stream lag.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::hash::Hash;
-use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::{self, JoinHandle, Thread};
 use std::time::Duration;
@@ -177,25 +207,46 @@ impl PoolConfig {
 ///   ([`MonitorPool::begin_shutdown`] racing an in-flight send on a
 ///   full queue): the producer would otherwise wait on a worker that
 ///   will never drain again. Absent a shutdown, the producer waits for
-///   room and `send` never errors.
+///   room and `send` never errors. A `send_batch` cut short this way
+///   still delivers the prefix it published before the shutdown, as
+///   `FailStream` does.
 /// * [`DropOldest`](OverloadPolicy::DropOldest) — never returned: the
 ///   oldest queued event is discarded to make room instead.
+///
+/// Under every policy, [`accepted`](StreamOverflow::accepted) counts
+/// the events of the failing call that were published before it gave
+/// up, so a caller's tally of delivered events stays exact.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StreamOverflow {
     /// The failed stream's id.
     pub stream: u64,
+    /// Events of *this call* that were published into the stream's
+    /// queue before the error: the delivered prefix of a batch, 0 for
+    /// a single [`send`](StreamHandle::send) or a call on an already
+    /// failed stream.
+    pub accepted: u64,
 }
 
 impl fmt::Display for StreamOverflow {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "stream {} overflowed its monitor queue", self.stream)
+        write!(
+            f,
+            "stream {} overflowed its monitor queue ({} events of the call accepted)",
+            self.stream, self.accepted
+        )
     }
 }
 
 impl std::error::Error for StreamOverflow {}
 
-/// Spins an idle worker makes over its rings before parking.
-const WORKER_SPIN: u32 = 64;
+/// Idle passes a worker makes over its ready flags before parking. A
+/// pass is a few loads and a spin hint (≈ 25 ns on a 2-vCPU Xeon), so
+/// this spins ≈ 3 µs: long enough to ride out a producer refilling a
+/// small ring without a park/unpark round trip per refill (64 passes
+/// were not, EXPERIMENTS §E21a), short enough that a worker woken once
+/// per burst of a paced load spends little of what the ready list saves
+/// on spinning.
+const WORKER_SPIN: u32 = 128;
 
 /// Backstop timeout for worker parking. The fenced sleeping-flag
 /// protocol makes lost wakeups impossible; the timeout only bounds the
@@ -205,8 +256,7 @@ const WORKER_PARK: Duration = Duration::from_millis(1);
 
 /// Per-stream lifecycle flags, shared between the handle (writer) and
 /// the worker (reader) — the out-of-band replacement for the old
-/// `Finish` control message.
-#[derive(Default)]
+/// `Finish` control message — plus the stream's ready-list state.
 struct ConnCtl {
     /// Set (release) by the handle after its last publish; once the
     /// worker acquires it, every event of the stream is visible.
@@ -214,6 +264,25 @@ struct ConnCtl {
     /// Whether the fail-stream policy cut the stream short. Written
     /// before `finished`, read after it.
     failed: AtomicBool,
+    /// `true` while the stream is on its worker's ready list or in the
+    /// worker's hands (see the module docs). Starts `true`: adoption
+    /// queues the stream, covering events published before it.
+    queued: AtomicBool,
+    /// The stream's slot in its worker's slab: written by the worker at
+    /// adoption, before it first clears `queued`; read by the producer
+    /// after winning `queued`.
+    slot: AtomicUsize,
+}
+
+impl ConnCtl {
+    fn new() -> ConnCtl {
+        ConnCtl {
+            finished: AtomicBool::new(false),
+            failed: AtomicBool::new(false),
+            queued: AtomicBool::new(true),
+            slot: AtomicUsize::new(0),
+        }
+    }
 }
 
 /// A freshly opened stream, waiting in the worker's injector: the
@@ -228,11 +297,18 @@ struct NewConn<S, A> {
     lag: Arc<StreamLag>,
 }
 
-/// One worker's shared face: how producers hand it new streams and wake
-/// it from its park.
+/// One worker's shared face: how producers hand it new streams and
+/// ready streams, and wake it from its park.
 struct WorkerShared<S, A> {
     /// Streams opened but not yet adopted by the worker loop.
     injector: Mutex<Vec<NewConn<S, A>>>,
+    /// Slab slots of adopted streams that became ready (published events
+    /// or finished) since the worker last took the list; a stream is
+    /// pushed by whoever flips its `queued` flag false → true.
+    ready: Mutex<Vec<usize>>,
+    /// Set after pushing onto `ready`; cleared by the worker's taking
+    /// swap, so an idle worker polls a flag, not the mutex.
+    ready_pending: AtomicBool,
     /// Set after pushing into the injector; cleared by the worker's
     /// adopting swap.
     dirty: AtomicBool,
@@ -258,6 +334,8 @@ impl<S, A> Default for WorkerShared<S, A> {
     fn default() -> WorkerShared<S, A> {
         WorkerShared {
             injector: Mutex::new(Vec::new()),
+            ready: Mutex::new(Vec::new()),
+            ready_pending: AtomicBool::new(false),
             dirty: AtomicBool::new(false),
             reload: Mutex::new(None),
             reload_pending: AtomicBool::new(false),
@@ -310,8 +388,8 @@ impl<S, A> WorkerShared<S, A> {
     /// Unparks the worker if it advertised itself sleeping. The `SeqCst`
     /// fence pairs with the worker's advertise-fence-recheck sequence:
     /// either the worker's recheck sees what this thread just published
-    /// (a ring publish, an injector entry, a lifecycle flag), or this
-    /// load sees the sleeping flag and unparks it.
+    /// (a ready-list entry, an injector entry, a reload or shutdown), or
+    /// this load sees the sleeping flag and unparks it.
     fn wake(&self) {
         fence(Ordering::SeqCst);
         if self.sleeping.load(Ordering::Relaxed) {
@@ -432,10 +510,40 @@ impl<S, A> StreamHandle<S, A> {
                 self.lag.record_drained();
                 self.metrics.record_dropped();
             }
-            None => {
-                self.worker.wake();
-                std::hint::spin_loop();
-            }
+            None => std::hint::spin_loop(),
+        }
+    }
+
+    /// Puts the stream on its worker's ready list after a publish or the
+    /// finish flag, unless it is already there or in the worker's hands.
+    /// The fence pairs with the worker's clear-fence-recheck of `queued`:
+    /// either the worker's recheck sees what this thread published, or
+    /// the flag read after this fence sees the worker's clear and this
+    /// thread queues the stream — one push per idle → busy transition,
+    /// not one per event. A `true` read after the fence is the worker's
+    /// own re-queue or an earlier push, so only a `false` read pays the
+    /// swap that settles a race with the worker's re-check.
+    fn mark_ready(&self) {
+        fence(Ordering::SeqCst);
+        if !self.ctl.queued.load(Ordering::Relaxed) && !self.ctl.queued.swap(true, Ordering::AcqRel)
+        {
+            let slot = self.ctl.slot.load(Ordering::Relaxed);
+            self.worker
+                .ready
+                .lock()
+                .expect("pool ready-list mutex poisoned")
+                .push(slot);
+            self.worker.ready_pending.store(true, Ordering::Release);
+            self.worker.wake();
+        }
+    }
+
+    /// The error for a call that published `accepted` events and then
+    /// gave up.
+    fn overflow(&self, accepted: u64) -> StreamOverflow {
+        StreamOverflow {
+            stream: self.stream,
+            accepted,
         }
     }
 
@@ -451,9 +559,7 @@ impl<S, A> StreamHandle<S, A> {
     /// the full per-policy contract).
     pub fn send(&mut self, action: A, time: Rat, state: S) -> Result<(), StreamOverflow> {
         if self.failed {
-            return Err(StreamOverflow {
-                stream: self.stream,
-            });
+            return Err(self.overflow(0));
         }
         let mut event = Event::new(action, time, state);
         let depth = match self.policy {
@@ -462,17 +568,14 @@ impl<S, A> StreamHandle<S, A> {
                     Ok(depth) => break depth,
                     Err(e) => {
                         event = e;
-                        // The worker may be parked with the ring full:
-                        // wake it before parking ourselves, then let its
-                        // draining pop unpark us. A shutdown racing this
-                        // send means the worker will never drain again —
-                        // bail out instead of blocking forever.
-                        self.worker.wake();
+                        // A full ring is queued on the worker, so it is
+                        // draining: park until its pop unparks us. A
+                        // shutdown racing this send means the worker
+                        // will never drain again — bail out instead of
+                        // blocking forever.
                         if !self.tx.wait_space_or(&self.worker.shutdown) {
                             self.failed = true;
-                            return Err(StreamOverflow {
-                                stream: self.stream,
-                            });
+                            return Err(self.overflow(0));
                         }
                     }
                 }
@@ -491,15 +594,13 @@ impl<S, A> StreamHandle<S, A> {
                 Err(_) => {
                     self.failed = true;
                     self.metrics.record_failed_stream();
-                    return Err(StreamOverflow {
-                        stream: self.stream,
-                    });
+                    return Err(self.overflow(0));
                 }
             },
         };
         self.lag.record_enqueued();
         self.record_depth(depth);
-        self.worker.wake();
+        self.mark_ready();
         Ok(())
     }
 
@@ -517,9 +618,10 @@ impl<S, A> StreamHandle<S, A> {
     ///
     /// Under [`OverloadPolicy::FailStream`], returns [`StreamOverflow`]
     /// when the batch did not fit entirely (the fitting prefix is still
-    /// delivered), and on every later send. The other policies only
-    /// error when the pool is shutting down underneath the handle (see
-    /// [`StreamOverflow`] for the full per-policy contract).
+    /// delivered and counted in [`StreamOverflow::accepted`]), and on
+    /// every later send. The other policies only error when the pool is
+    /// shutting down underneath the handle (see [`StreamOverflow`] for
+    /// the full per-policy contract).
     pub fn send_batch<I>(&mut self, events: I) -> Result<(), StreamOverflow>
     where
         I: IntoIterator<Item = (A, Rat, S)>,
@@ -546,9 +648,7 @@ impl<S, A> StreamHandle<S, A> {
         I: ExactSizeIterator<Item = Event<S, A>>,
     {
         if self.failed {
-            return Err(StreamOverflow {
-                stream: self.stream,
-            });
+            return Err(self.overflow(0));
         }
         let n = events.len() as u64;
         if n == 0 {
@@ -560,37 +660,31 @@ impl<S, A> StreamHandle<S, A> {
             let (depth, accepted) = self.tx.try_push_many(&mut items);
             if accepted > 0 {
                 max_depth = max_depth.max(depth);
-                self.worker.wake();
+                self.mark_ready();
             }
             if items.len() == 0 {
                 break;
             }
-            match self.policy {
-                OverloadPolicy::Block => {
-                    self.worker.wake();
-                    if !self.tx.wait_space_or(&self.worker.shutdown) {
-                        let accepted_total = n - items.len() as u64;
-                        self.lag.record_enqueued_many(accepted_total);
-                        self.record_depth(max_depth);
-                        self.metrics.record_batch(accepted_total);
-                        self.failed = true;
-                        return Err(StreamOverflow {
-                            stream: self.stream,
-                        });
-                    }
+            let cut_short = match self.policy {
+                // As in `send`: the full ring is queued, so wait for the
+                // worker's pop unless a shutdown calls the wait off.
+                OverloadPolicy::Block => !self.tx.wait_space_or(&self.worker.shutdown),
+                OverloadPolicy::DropOldest => {
+                    self.shed_oldest();
+                    false
                 }
-                OverloadPolicy::DropOldest => self.shed_oldest(),
                 OverloadPolicy::FailStream => {
-                    let accepted_total = n - items.len() as u64;
-                    self.lag.record_enqueued_many(accepted_total);
-                    self.record_depth(max_depth);
-                    self.metrics.record_batch(accepted_total);
-                    self.failed = true;
                     self.metrics.record_failed_stream();
-                    return Err(StreamOverflow {
-                        stream: self.stream,
-                    });
+                    true
                 }
+            };
+            if cut_short {
+                let accepted_total = n - items.len() as u64;
+                self.lag.record_enqueued_many(accepted_total);
+                self.record_depth(max_depth);
+                self.metrics.record_batch(accepted_total);
+                self.failed = true;
+                return Err(self.overflow(accepted_total));
             }
         }
         self.lag.record_enqueued_many(n);
@@ -615,7 +709,7 @@ impl<S, A> StreamHandle<S, A> {
         // published before this point.
         self.ctl.failed.store(self.failed, Ordering::Relaxed);
         self.ctl.finished.store(true, Ordering::Release);
-        self.worker.wake();
+        self.mark_ready();
     }
 }
 
@@ -737,7 +831,7 @@ where
         let worker = Arc::clone(&self.shared[worker % self.shared.len()]);
         let lag = self.metrics.register_stream(stream);
         let (tx, rx) = ring::ring(self.queue_capacity);
-        let ctl = Arc::new(ConnCtl::default());
+        let ctl = Arc::new(ConnCtl::new());
         worker
             .injector
             .lock()
@@ -909,17 +1003,75 @@ struct Conn<S, A> {
     mon: Monitor<S, A>,
 }
 
+impl<S: Clone, A: Clone + Eq + Hash> Conn<S, A> {
+    /// Feeds one batched claim of up to `batch` queued events through
+    /// the monitor — or, when `to_empty`, claims until the ring is empty.
+    fn drain(&mut self, scratch: &mut Vec<Event<S, A>>, batch: usize, to_empty: bool) {
+        loop {
+            scratch.clear();
+            let n = self.rx.pop_many(batch, scratch);
+            if n == 0 {
+                return;
+            }
+            for ev in scratch.drain(..) {
+                self.mon.observe(&ev.action, ev.time, &ev.state);
+            }
+            self.lag.record_drained_many(n as u64);
+            if !to_empty {
+                return;
+            }
+        }
+    }
+}
+
+/// A worker's adopted streams, indexed by the slot their producers push
+/// onto the ready list. Freed slots are reused, so the slab is sized by
+/// the peak number of live streams, not by the lifetime count.
+struct Slab<S, A> {
+    conns: Vec<Option<Conn<S, A>>>,
+    free: Vec<usize>,
+}
+
+impl<S, A> Slab<S, A> {
+    /// Stores `conn` in a free slot and publishes the slot to its
+    /// producer through `ConnCtl::slot` (made visible by the worker's
+    /// first release clear of `queued`).
+    fn insert(&mut self, conn: Conn<S, A>) -> usize {
+        let slot = self.free.pop().unwrap_or(self.conns.len());
+        conn.ctl.slot.store(slot, Ordering::Relaxed);
+        if slot == self.conns.len() {
+            self.conns.push(Some(conn));
+        } else {
+            self.conns[slot] = Some(conn);
+        }
+        slot
+    }
+
+    /// The stream at a ready slot. A slot is on the ready lists at most
+    /// once, and is freed only by the visit that holds it, so a ready
+    /// slot always holds its stream.
+    fn get(&mut self, slot: usize) -> &mut Conn<S, A> {
+        self.conns[slot]
+            .as_mut()
+            .expect("ready slot holds no stream")
+    }
+
+    fn remove(&mut self, slot: usize) -> Option<Conn<S, A>> {
+        let conn = self.conns[slot].take()?;
+        self.free.push(slot);
+        Some(conn)
+    }
+}
+
 /// `true` while the worker has visible work: new streams to adopt, a
-/// shutdown to honour, a non-empty ring, or a finished stream to file.
-/// This is the recheck an idle worker runs between advertising itself
-/// sleeping and parking.
-fn has_pending<S, A>(shared: &WorkerShared<S, A>, conns: &[Conn<S, A>]) -> bool {
+/// reload or shutdown to honour, or ready streams. This is the O(1)
+/// recheck an idle worker runs between advertising itself sleeping and
+/// parking; its own FIFO is empty whenever it gets here.
+fn has_pending<S, A>(shared: &WorkerShared<S, A>) -> bool {
     shared.dirty.load(Ordering::Acquire)
         || shared.reload_pending.load(Ordering::Acquire)
         || shared.shutdown.load(Ordering::Acquire)
-        || conns
-            .iter()
-            .any(|c| !c.rx.is_empty() || c.ctl.finished.load(Ordering::Acquire))
+        || shared.ready_pending.load(Ordering::Acquire)
 }
 
 fn worker_loop<S: Clone, A: Clone + Eq + Hash>(
@@ -938,11 +1090,20 @@ fn worker_loop<S: Clone, A: Clone + Eq + Hash>(
     // The worker's current condition set: starts as the pool's, replaced
     // in place by hot reload.
     let mut set = Arc::clone(set);
-    let mut conns: Vec<Conn<S, A>> = Vec::new();
+    let mut slab: Slab<S, A> = Slab {
+        conns: Vec::new(),
+        free: Vec::new(),
+    };
+    // Ready slots in visiting order, and the buffer swapped with the
+    // shared ready list (so taking it allocates nothing).
+    let mut fifo: VecDeque<usize> = VecDeque::new();
+    let mut taken: Vec<usize> = Vec::new();
     let mut scratch: Vec<Event<S, A>> = Vec::with_capacity(drain_batch);
     // Filed reports go straight to the shared outbox, so a live pool
     // can hand them out (`drain_finished`) without waiting for shutdown.
-    let file = |conn: Conn<S, A>, failed: bool| {
+    // `finished` is the flag as loaded before the final drain.
+    let file = |conn: Conn<S, A>, finished: bool| {
+        let failed = finished && conn.ctl.failed.load(Ordering::Relaxed);
         let events = conn.mon.events_seen();
         let (violations, warnings, forced) = conn.mon.finish_full(mode);
         shared
@@ -958,50 +1119,58 @@ fn worker_loop<S: Clone, A: Clone + Eq + Hash>(
                 failed,
             });
     };
-    let adopt = |set: &Arc<CompiledConditionSet<S, A>>, conns: &mut Vec<Conn<S, A>>| -> bool {
-        if !shared.dirty.swap(false, Ordering::Acquire) {
+    // Adopts freshly opened streams into the slab and queues each one:
+    // its `queued` flag starts set, so this visit covers whatever was
+    // published before adoption.
+    let adopt = |set: &Arc<CompiledConditionSet<S, A>>,
+                 slab: &mut Slab<S, A>,
+                 fifo: &mut VecDeque<usize>|
+     -> bool {
+        // Load before swapping: the common pass finds nothing and then
+        // costs no read-modify-write.
+        if !shared.dirty.load(Ordering::Relaxed) || !shared.dirty.swap(false, Ordering::Acquire) {
             return false;
         }
-        let adopted: Vec<NewConn<S, A>> = shared
-            .injector
-            .lock()
-            .expect("pool injector mutex poisoned")
-            .drain(..)
-            .collect();
-        let mut any = false;
+        let adopted = std::mem::take(
+            &mut *shared
+                .injector
+                .lock()
+                .expect("pool injector mutex poisoned"),
+        );
+        let any = !adopted.is_empty();
         for nc in adopted {
             let mut mon = Monitor::from_compiled_with(Arc::clone(set), &nc.start, backend)
                 .with_metrics_shard(Arc::clone(shard));
             if let Some(h) = horizon {
                 mon = mon.with_predictor(h);
             }
-            conns.push(Conn {
+            fifo.push_back(slab.insert(Conn {
                 stream: nc.stream,
                 rx: nc.rx,
                 ctl: nc.ctl,
                 lag: nc.lag,
                 mon,
-            });
-            any = true;
+            }));
         }
         any
     };
     let mut spins = 0u32;
     loop {
-        let mut did_work = false;
-        // Adopt freshly opened streams.
-        did_work |= adopt(&set, &mut conns);
-        // Apply a pending hot reload. Ring contents are untouched —
-        // queued events are simply processed under the new set from
-        // here on; streams adopted on later iterations are built from
-        // the new set directly.
-        if shared.reload_pending.swap(false, Ordering::Acquire) {
+        let mut did_work = adopt(&set, &mut slab, &mut fifo);
+        // Apply a pending hot reload: one of the two sweeps over every
+        // live stream. Ring contents are untouched — queued events are
+        // simply processed under the new set from here on; streams
+        // adopted on later iterations are built from the new set
+        // directly.
+        if shared.reload_pending.load(Ordering::Relaxed)
+            && shared.reload_pending.swap(false, Ordering::Acquire)
+        {
             // Streams injected before the reload command must be
             // swapped (and counted) with everything else, but this
             // iteration's adoption pass may have read `dirty` before
             // the injector push became visible — the acquire above
             // makes it visible, so adopt once more before swapping.
-            adopt(&set, &mut conns);
+            adopt(&set, &mut slab, &mut fifo);
             let cmd = shared
                 .reload
                 .lock()
@@ -1017,7 +1186,7 @@ fn worker_loop<S: Clone, A: Clone + Eq + Hash>(
             let mut streams = 0usize;
             let mut carried = 0usize;
             let mut dropped = Vec::new();
-            for conn in &mut conns {
+            for conn in slab.conns.iter_mut().flatten() {
                 let rep = conn.mon.swap_compiled(Arc::clone(&cmd.set), &map);
                 streams += 1;
                 carried += rep.carried;
@@ -1040,42 +1209,64 @@ fn worker_loop<S: Clone, A: Clone + Eq + Hash>(
             cmd.gather.cv.notify_all();
             did_work = true;
         }
-        let shutting_down = shared.shutdown.load(Ordering::Acquire);
-        // Round-robin over the adopted streams: one batched drain each,
-        // so no stream starves another. A finished (or shutting-down)
-        // stream is drained to empty and filed — the acquire on
-        // `finished` guarantees every published event is visible, so
-        // "empty after the flag" means complete.
-        let mut i = 0;
-        while i < conns.len() {
-            let conn = &mut conns[i];
-            let finished = conn.ctl.finished.load(Ordering::Acquire);
-            loop {
-                scratch.clear();
-                let n = conn.rx.pop_many(drain_batch, &mut scratch);
-                if n == 0 {
-                    break;
-                }
-                did_work = true;
-                for ev in scratch.drain(..) {
-                    conn.mon.observe(&ev.action, ev.time, &ev.state);
-                }
-                conn.lag.record_drained_many(n as u64);
-                if !finished && !shutting_down {
-                    break;
+        // Shutdown, the other sweep: every stream, ready or idle, is
+        // drained to empty and filed. Ready-list entries are moot from
+        // here on; streams opened racing the shutdown are adopted and
+        // filed on the next pass.
+        if shared.shutdown.load(Ordering::Acquire) {
+            for slot in 0..slab.conns.len() {
+                if let Some(mut conn) = slab.remove(slot) {
+                    let finished = conn.ctl.finished.load(Ordering::Acquire);
+                    conn.drain(&mut scratch, drain_batch, true);
+                    file(conn, finished);
                 }
             }
-            if (finished || shutting_down) && conn.rx.is_empty() {
-                let conn = conns.swap_remove(i);
-                let failed = finished && conn.ctl.failed.load(Ordering::Relaxed);
-                file(conn, failed);
-                did_work = true;
-                continue; // the swapped-in conn now sits at `i`
+            fifo.clear();
+            if !shared.dirty.load(Ordering::Acquire) {
+                return;
             }
-            i += 1;
+            continue;
         }
-        if shutting_down && conns.is_empty() && !shared.dirty.load(Ordering::Acquire) {
-            return;
+        // Take the shared ready list. The flag is cleared first, so a
+        // push that lands after the swap below raises it again.
+        if shared.ready_pending.load(Ordering::Relaxed)
+            && shared.ready_pending.swap(false, Ordering::Acquire)
+        {
+            std::mem::swap(
+                &mut *shared.ready.lock().expect("pool ready-list mutex poisoned"),
+                &mut taken,
+            );
+            fifo.extend(taken.drain(..));
+        }
+        // One round over the ready streams: a batched drain each, so no
+        // stream starves another. A stream that still has events goes
+        // back to the tail. A finished stream is drained to empty and
+        // filed — the acquire on `finished` guarantees every published
+        // event is visible, so "empty after the flag" means complete.
+        for _ in 0..fifo.len() {
+            let Some(slot) = fifo.pop_front() else { break };
+            did_work = true;
+            let conn = slab.get(slot);
+            let finished = conn.ctl.finished.load(Ordering::Acquire);
+            conn.drain(&mut scratch, drain_batch, finished);
+            if finished {
+                let conn = slab.remove(slot).expect("ready slot holds no stream");
+                file(conn, true);
+            } else if !conn.rx.is_empty() {
+                fifo.push_back(slot);
+            } else {
+                // Idle: clear the flag, fence, re-check. The fence pairs
+                // with the producer's in `mark_ready`: either this
+                // re-check sees its publish (or finish), or the producer
+                // reads the cleared flag and queues the stream itself.
+                conn.ctl.queued.store(false, Ordering::Release);
+                fence(Ordering::SeqCst);
+                if (!conn.rx.is_empty() || conn.ctl.finished.load(Ordering::Acquire))
+                    && !conn.ctl.queued.swap(true, Ordering::AcqRel)
+                {
+                    fifo.push_back(slot);
+                }
+            }
         }
         if did_work {
             spins = 0;
@@ -1089,7 +1280,7 @@ fn worker_loop<S: Clone, A: Clone + Eq + Hash>(
         }
         shared.sleeping.store(true, Ordering::Release);
         fence(Ordering::SeqCst);
-        if has_pending(shared, &conns) {
+        if has_pending(shared) {
             shared.sleeping.store(false, Ordering::Relaxed);
             spins = 0;
             continue;

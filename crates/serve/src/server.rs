@@ -41,8 +41,9 @@
 //! backpressure story end to end: `Block` stalls the I/O thread on the
 //! stream's full ring (TCP backpressure propagates to the client),
 //! `DropOldest` sheds per-stream load invisibly, and `FailStream`
-//! surfaces as an [`ErrorCode::Overload`] egress frame and a closed
-//! stream whose report covers the delivered prefix.
+//! surfaces as an [`ErrorCode::Overload`] egress frame, stating how many
+//! of the batch's events were accepted, and a closed stream whose report
+//! covers the delivered prefix.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -750,11 +751,15 @@ fn handle_frame(
             };
             // The zero-copy hot path: wire records decode straight into
             // ring slots, batch-shaped (one reservation per batch).
-            if handle.send_batch_exact(batch.events()).is_err() {
+            if let Err(e) = handle.send_batch_exact(batch.events()) {
                 encode_error(
                     reply,
                     ErrorCode::Overload,
-                    &format!("stream {stream} overflowed its queue; stream closed"),
+                    &format!(
+                        "stream {stream} overflowed its queue after accepting {} events \
+                         of the batch; stream closed",
+                        e.accepted
+                    ),
                 );
                 // Retire the stream; its report covers the prefix.
                 if let Some(h) = streams.remove(&stream) {

@@ -103,9 +103,11 @@ fn shutdown_unblocks_racing_send_batch() {
                     let batch = [("GO".to_string(), t, 0u8), ("DONE".to_string(), t, 0u8)];
                     match h.send_batch(batch) {
                         Ok(()) => delivered += 2,
-                        Err(_) => {
+                        Err(e) => {
                             // The shutdown raced us mid-stream: stop
-                            // sending, keep what was delivered.
+                            // sending, keep what was delivered — the
+                            // batch's published prefix included.
+                            delivered += e.accepted;
                             stop_seen.store(true, Ordering::SeqCst);
                             break;
                         }
