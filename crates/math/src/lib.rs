@@ -9,7 +9,8 @@
 //!
 //! This crate therefore provides:
 //!
-//! * [`Rat`] — normalized `i128` rationals with overflow-checked arithmetic;
+//! * [`Rat`] — normalized `i128` rationals with overflow-checked arithmetic,
+//!   and [`PackedRat`], their 16-byte storage form for values in `i64`/`u64`;
 //! * [`TimeVal`] — the extended time domain `ℚ ∪ {+∞}` used for last-time
 //!   predictions (`Lt`) and upper bounds of boundmap intervals;
 //! * [`Interval`] — closed intervals `[lo, hi]` with `lo` finite, used both
@@ -39,6 +40,6 @@ mod serde_impls;
 mod timeval;
 
 pub use interval::{Interval, IntervalError};
-pub use rat::{ParseRatError, Rat};
+pub use rat::{PackedRat, ParseRatError, Rat};
 pub use scale::TimeScale;
 pub use timeval::TimeVal;

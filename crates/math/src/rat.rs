@@ -3,6 +3,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
+use std::num::{NonZeroU64, TryFromIntError};
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::str::FromStr;
 
@@ -49,6 +50,11 @@ impl Rat {
     /// assert_eq!(Rat::new(2, -4), Rat::new(-1, 2));
     /// ```
     pub fn new(num: i128, den: i128) -> Rat {
+        // Integer times (every wire event at denominator 1) are already
+        // normalized: skip the `u128` Euclid and the two divisions.
+        if den == 1 {
+            return Rat { num, den: 1 };
+        }
         assert!(den != 0, "rational denominator must be nonzero");
         let sign = if den < 0 { -1 } else { 1 };
         let num = num
@@ -238,6 +244,59 @@ impl From<u32> for Rat {
 impl From<usize> for Rat {
     fn from(v: usize) -> Rat {
         Rat::from(v as i128)
+    }
+}
+
+/// A normalized [`Rat`] packed into 16 bytes: an `i64` numerator over a
+/// nonzero `u64` denominator.
+///
+/// This is a storage form, not an arithmetic type: it exists so that
+/// values held in bulk (event times queued in a monitor pool's rings)
+/// cost half of a `Rat`'s 32 bytes, and the `NonZeroU64` niche lets an
+/// `Option` of a struct holding one cost nothing extra. Convert with
+/// `PackedRat::try_from(rat)`, which fails exactly when the
+/// normalized numerator is outside `i64` or the denominator outside
+/// `u64`, and back with [`Rat::from`], which copies the two fields with
+/// no gcd.
+///
+/// # Example
+///
+/// ```
+/// use tempo_math::{PackedRat, Rat};
+///
+/// let t = PackedRat::try_from(Rat::new(-7, 2)).unwrap();
+/// assert_eq!(Rat::from(t), Rat::new(-7, 2));
+/// assert!(PackedRat::try_from(Rat::from(i128::from(i64::MAX) + 1)).is_err());
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PackedRat {
+    num: i64,
+    den: NonZeroU64, // invariant: gcd(|num|, den) == 1, as in the source `Rat`
+}
+
+impl TryFrom<Rat> for PackedRat {
+    type Error = TryFromIntError;
+
+    fn try_from(r: Rat) -> Result<PackedRat, TryFromIntError> {
+        let num = i64::try_from(r.num)?;
+        // A `Rat`'s denominator is positive, so it is nonzero once it fits.
+        let den = NonZeroU64::try_from(u64::try_from(r.den)?)?;
+        Ok(PackedRat { num, den })
+    }
+}
+
+impl From<PackedRat> for Rat {
+    fn from(p: PackedRat) -> Rat {
+        Rat {
+            num: i128::from(p.num),
+            den: i128::from(p.den.get()),
+        }
+    }
+}
+
+impl fmt::Debug for PackedRat {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&Rat::from(*self), f)
     }
 }
 

@@ -410,8 +410,13 @@ impl<S: Clone, A: Clone + Eq + Hash> Monitor<S, A> {
     /// Panics if `time` decreases, mirroring
     /// [`TimedSequence::push`](tempo_core::TimedSequence::push).
     ///
+    /// `time` is a [`Rat`] or anything that widens into one, such as the
+    /// [`PackedRat`](tempo_math::PackedRat) an [`Event`](crate::Event)
+    /// carries.
+    ///
     /// [`violations`]: Monitor::violations
-    pub fn observe(&mut self, action: &A, time: Rat, state: &S) -> Verdict {
+    pub fn observe(&mut self, action: &A, time: impl Into<Rat>, state: &S) -> Verdict {
+        let time = time.into();
         let warnings_before = self.warnings.len();
         let forced_before = self.forced.len();
         let mut first: Option<Violation> = None;

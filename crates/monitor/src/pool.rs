@@ -778,7 +778,7 @@ where
         let metrics = Arc::new(MonitorMetrics::new());
         let mut shared = Vec::new();
         let mut workers = Vec::new();
-        for _ in 0..config.workers {
+        for i in 0..config.workers {
             let ws: Arc<WorkerShared<S, A>> = Arc::new(WorkerShared::default());
             let shard = metrics.register_shard();
             let worker_ws = Arc::clone(&ws);
@@ -787,17 +787,21 @@ where
             let horizon = config.horizon;
             let drain_batch = config.drain_batch;
             let backend = config.backend;
-            workers.push(thread::spawn(move || {
-                worker_loop(
-                    &worker_ws,
-                    &set,
-                    &shard,
-                    mode,
-                    horizon,
-                    drain_batch,
-                    backend,
-                )
-            }));
+            let worker = thread::Builder::new()
+                .name(format!("tempo-worker-{i}"))
+                .spawn(move || {
+                    worker_loop(
+                        &worker_ws,
+                        &set,
+                        &shard,
+                        mode,
+                        horizon,
+                        drain_batch,
+                        backend,
+                    )
+                })
+                .expect("failed to spawn a pool worker thread");
+            workers.push(worker);
             shared.push(ws);
         }
         MonitorPool {
@@ -1014,7 +1018,7 @@ impl<S: Clone, A: Clone + Eq + Hash> Conn<S, A> {
                 return;
             }
             for ev in scratch.drain(..) {
-                self.mon.observe(&ev.action, ev.time, &ev.state);
+                self.mon.observe(&ev.action, Rat::from(ev.time), &ev.state);
             }
             self.lag.record_drained_many(n as u64);
             if !to_empty {
@@ -1582,6 +1586,74 @@ mod tests {
         h.send("noise", Rat::from(50), 1).unwrap();
         h.finish();
         assert!(pool.shutdown().passed());
+    }
+
+    #[test]
+    fn a_ring_slot_of_an_id_event_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Mutex<Option<Event<u32, u32>>>>(), 32);
+    }
+
+    /// A time outside `PackedRat`'s range makes `send` and `send_batch`
+    /// panic before they publish anything: the handle keeps working, no
+    /// ring slot is left poisoned (a worker taking one would panic and
+    /// fail the shutdown), and every report equals the offline fold of
+    /// the events that were accepted.
+    #[test]
+    fn out_of_range_time_panics_before_publishing() {
+        let conds = [cond()];
+        let config = PoolConfig {
+            workers: 2,
+            queue_capacity: 4,
+            ..PoolConfig::default()
+        };
+        let mut pool = MonitorPool::new(&conds, config);
+        let huge = Rat::from(i128::from(i64::MAX) + 1);
+        let mut handles: Vec<_> = (0..4).map(|_| pool.open_stream(0u8)).collect();
+        let mut logs = vec![Vec::new(); handles.len()];
+        for t in 0..16i64 {
+            for (i, (h, log)) in handles.iter_mut().zip(&mut logs).enumerate() {
+                // Stream `i` answers its start obligation at time `i + 1`,
+                // so only stream 0 violates the lower bound of 2.
+                let action = if t == i as i64 + 1 { "fire" } else { "noise" };
+                h.send(action, Rat::from(t), 1).unwrap();
+                log.push((action, Rat::from(t), 1u8));
+            }
+            if t == 6 {
+                let single = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    handles[0].send("fire", huge, 1)
+                }));
+                let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    handles[1].send_batch([("fire", Rat::from(t), 1u8), ("noise", huge, 1)])
+                }));
+                for outcome in [single, batch] {
+                    let payload = outcome.expect_err("an out-of-range time panics");
+                    let text = payload.downcast::<String>().expect("a formatted message");
+                    assert!(
+                        text.contains("event time outside the packed i64/u64 range"),
+                        "{text}"
+                    );
+                }
+            }
+        }
+        drop(handles);
+        let report = pool.shutdown();
+        let set = CompiledConditionSet::new(&conds);
+        assert_eq!(report.streams.len(), logs.len());
+        for (r, log) in report.streams.iter().zip(&logs) {
+            assert_eq!(r.events, log.len(), "stream {}", r.stream);
+            let mut seq = tempo_core::TimedSequence::new(0u8);
+            for &(a, t, s) in log {
+                seq.push(a, t, s);
+            }
+            assert_eq!(
+                r.violations,
+                set.fold_sequence(&seq, SatisfactionMode::Prefix),
+                "stream {}",
+                r.stream
+            );
+        }
+        assert_eq!(report.metrics.events, 64);
+        assert_eq!(report.violations().len(), 1);
     }
 
     #[test]

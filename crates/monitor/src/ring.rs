@@ -43,6 +43,17 @@
 //! uncontended in steady state and exist to keep the crate
 //! `#![forbid(unsafe_code)]`-clean.
 //!
+//! A slot costs `size_of::<Mutex<Option<T>>>()`: the value plus the
+//! mutex's 4-byte futex word and poison flag, rounded up to `T`'s
+//! alignment, with `Option`'s tag folded into a niche of `T` when it
+//! has one. The pool's `Event<u32, u32>` stores its time as a 16-byte
+//! [`PackedRat`](tempo_math::PackedRat), whose nonzero denominator is
+//! such a niche, so its slot is 32 bytes (80 with a 32-byte `Rat`
+//! time); a 64-slot ring is 2 KiB. A lock-free slot holding a sequence
+//! stamp beside the same 24-byte event would also take 32 bytes, so
+//! the mutex slot stays: it buys the same size with no new
+//! synchronization protocol to prove, and no `unsafe`.
+//!
 //! # Example
 //!
 //! ```

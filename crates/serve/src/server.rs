@@ -381,23 +381,28 @@ impl Server {
             .map(|_| Arc::new(Mutex::new(Vec::new())))
             .collect();
 
+        // Spawned in this order after the pool's workers: external
+        // tools attribute per-thread CPU by spawn index.
         let io = injectors
             .iter()
-            .map(|inj| {
+            .enumerate()
+            .map(|(i, inj)| {
                 let shared = Arc::clone(&shared);
                 let inj = Arc::clone(inj);
-                thread::spawn(move || io_loop(&shared, &inj))
+                spawn_named(format!("tempo-io-{i}"), move || io_loop(&shared, &inj))
             })
             .collect();
 
         let acceptor = {
             let shared = Arc::clone(&shared);
-            thread::spawn(move || accept_loop(&shared, &listener, &injectors))
+            spawn_named("tempo-accept".into(), move || {
+                accept_loop(&shared, &listener, &injectors)
+            })
         };
 
         let egress = {
             let shared = Arc::clone(&shared);
-            thread::spawn(move || egress_loop(&shared))
+            spawn_named("tempo-egress".into(), move || egress_loop(&shared))
         };
 
         Ok(Server {
@@ -468,6 +473,15 @@ impl Server {
             .expect("pool already shut down");
         pool.shutdown()
     }
+}
+
+/// Spawns a server thread under `name`, which is what `top -H` and
+/// `/proc/<pid>/task/*/comm` show.
+fn spawn_named(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("failed to spawn a server thread")
 }
 
 fn accept_loop(shared: &Shared, listener: &TcpListener, injectors: &[Arc<Mutex<Vec<NewConn>>>]) {

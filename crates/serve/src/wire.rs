@@ -1275,8 +1275,8 @@ mod tests {
                 assert_eq!(evs.len(), 2);
                 assert_eq!(evs[0].action, 0);
                 assert_eq!(evs[0].state, 1);
-                assert_eq!(evs[0].time, Rat::from(10));
-                assert_eq!(evs[1].time, Rat::from(12));
+                assert_eq!(Rat::from(evs[0].time), Rat::from(10));
+                assert_eq!(Rat::from(evs[1].time), Rat::from(12));
             }
             f => panic!("expected batch, got {f:?}"),
         }

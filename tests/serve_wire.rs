@@ -591,3 +591,46 @@ fn bad_reload_source_reports_diagnostics_and_changes_nothing() {
     }
     server.shutdown();
 }
+
+/// Every server thread carries its role's name, as `top -H` and
+/// `/proc/<pid>/task/*/comm` show it.
+#[cfg(target_os = "linux")]
+#[test]
+fn server_threads_are_named_by_role() {
+    fn thread_names() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .expect("list /proc/self/task")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|comm| comm.trim_end().to_string())
+            .collect()
+    }
+    let server = start_server();
+    let wanted = [
+        "tempo-worker-0",
+        "tempo-worker-1",
+        "tempo-io-0",
+        "tempo-io-1",
+        "tempo-accept",
+        "tempo-egress",
+    ];
+    // A new thread starts under its creator's name and renames itself
+    // once it runs, so poll. Other tests' servers share this process:
+    // look for names, not counts.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let names = thread_names();
+        let missing: Vec<_> = wanted
+            .iter()
+            .filter(|w| !names.iter().any(|n| n == *w))
+            .collect();
+        if missing.is_empty() {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no thread named {missing:?} in {names:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.shutdown();
+}
